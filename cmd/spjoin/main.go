@@ -381,12 +381,8 @@ func main() {
 		// The planner probes the raw inputs and rewrites the engine flags
 		// with its decision; execution then follows the ordinary paths
 		// below, so auto runs exactly what a hand-picked invocation would.
-		maxW := *procs
-		if maxW <= 0 {
-			maxW = runtime.GOMAXPROCS(0)
-		}
 		st := plan.Analyze(streets, mixed)
-		d := plan.Decide(st, maxW)
+		d := plan.Decide(st, plannerCap(*procs, runtime.GOMAXPROCS(0)))
 		fmt.Printf("planner: n=%d+%d skew=%.2f replication=%.2f -> %v\n",
 			st.NR, st.NS, st.Skew, st.Rep, d)
 		intro.planRec = flight.Plan{
@@ -599,6 +595,16 @@ func metricsHandler(reg *metrics.Registry) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
+}
+
+// plannerCap is the worker cap -engine=auto hands the planner: -procs,
+// defaulting to GOMAXPROCS when unset and never above it — -procs defaults
+// to 8 for the simulator, and join workers beyond the CPUs only contend.
+func plannerCap(procs, gomaxprocs int) int {
+	if procs <= 0 || procs > gomaxprocs {
+		return gomaxprocs
+	}
+	return procs
 }
 
 // repeatCount clamps -repeat to at least one execution.

@@ -275,3 +275,20 @@ func TestExplainSVGOutput(t *testing.T) {
 		t.Fatalf("output does not mention the heatmap path:\n%s", out.String())
 	}
 }
+
+// TestPlannerCap pins the -engine=auto worker cap: -procs within the CPU
+// count passes through, an unset or oversized -procs becomes GOMAXPROCS.
+func TestPlannerCap(t *testing.T) {
+	for _, c := range []struct{ procs, gomaxprocs, want int }{
+		{8, 2, 2},  // the -procs default on a 2-CPU host
+		{2, 8, 2},  // an explicit smaller cap is kept
+		{4, 4, 4},  // equal
+		{0, 6, 6},  // unset
+		{-1, 3, 3}, // negative
+		{1, 1, 1},
+	} {
+		if got := plannerCap(c.procs, c.gomaxprocs); got != c.want {
+			t.Errorf("plannerCap(%d, %d) = %d, want %d", c.procs, c.gomaxprocs, got, c.want)
+		}
+	}
+}

@@ -78,12 +78,12 @@ func TestExplainPipelinedReport(t *testing.T) {
 	if strings.Contains(out, "phases (measured") {
 		t.Errorf("pipelined record rendered the wall-share header\n%s", out)
 	}
-	// The non-pipelined header and semantics stay intact for barrier runs.
+	// The non-pipelined header and semantics stay intact for clean re-joins.
 	rec.PipelineNS = 0
 	var sb2 strings.Builder
 	Explain(&sb2, &rec)
 	if !strings.Contains(sb2.String(), "phases (measured") {
-		t.Errorf("barrier record lost the wall-share header\n%s", sb2.String())
+		t.Errorf("clean re-join record lost the wall-share header\n%s", sb2.String())
 	}
 }
 

@@ -91,15 +91,15 @@ type Record struct {
 	StealAttempts int `json:"steal_attempts,omitempty"`
 
 	// PhaseNS is the engine's per-phase attribution, indexed by the
-	// timeline.Phase* constants. For a barrier or steady-state run every
-	// bucket is that phase's wall time; for a pipelined cold build (see
+	// timeline.Phase* constants. For a clean partition re-join every
+	// bucket is that phase's wall time; for a pipelined build (see
 	// PipelineNS) the overlapped phases report per-worker busy time
 	// instead, so the buckets no longer tile the wall clock.
 	PhaseNS [timeline.NumPhases]int64 `json:"phase_ns"`
 
 	// PipelineNS is the wall time of the partition engine's fused
-	// scatter+fill+sweep pipeline phase; zero when the build ran with
-	// barriers or on the steady-state fast path. Nonzero means the phase
+	// scatter+fill+sweep pipeline phase; zero on a clean re-join, which
+	// reuses the cached build. Nonzero means the phase
 	// buckets overlap in time and EXPLAIN renders a busy-time waterfall
 	// with a pipeline-overlap row.
 	PipelineNS int64 `json:"pipeline_ns,omitempty"`

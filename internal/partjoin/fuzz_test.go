@@ -1,6 +1,7 @@
 package partjoin
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -41,9 +42,9 @@ func fuzzJoinInput(data []byte) (r, s []rtree.Item, cfg Config) {
 // oracle on arbitrary rect sets, grid shapes, and worker counts: the
 // candidate set must be exactly the intersecting pairs, with no pair
 // reported twice (toSet fails on duplicates). Each input also drives the
-// Joiner's reuse cache: an identical re-join (segment reuse), then a
-// mutation derived from the payload and a third join, which must track
-// the mutated inputs whichever fallback tier it lands in.
+// Joiner's two states: an identical re-join (whole-cache reuse), then a
+// mutation derived from the payload and a third join, which must rebuild
+// and track the mutated inputs.
 func FuzzPartitionJoin(f *testing.F) {
 	f.Add([]byte{2, 4, 1, 0, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1})
 	f.Add([]byte{0, 0, 0, 0})
@@ -84,14 +85,17 @@ func FuzzPartitionJoin(f *testing.F) {
 	})
 }
 
-// FuzzPartitionJoinPipelined pins the pipelined cold-path build to the
-// brute-force oracle AND to the pre-pipeline barrier engine's exact sorted
-// pair sequence, over the same degenerate inputs (NaN, empty, duplicate
-// stacks) and refinement tiers the refined fuzz covers — the pipeline's
-// per-tile readiness, fused scatter+fill and in-phase refinement hand-off
-// must be invisible in the results. The mutation stages drive the reuse
-// cache back through the pipelined rebuild (a broken sweep order lands in
-// the per-side repair sort; an identity change stays on the fast path).
+// FuzzPartitionJoinPipelined pins the pipelined build with checkBuild —
+// the exact sorted pair sequence against brute force, the white-box
+// segment check, and the clean re-join's counters — over the same
+// degenerate inputs (NaN, empty, duplicate stacks) and refinement
+// thresholds the refined fuzz covers: the pipeline's per-tile readiness, fused
+// scatter+fill and in-phase refinement hand-off must be invisible in the
+// results. Under an explicit threshold (the grid is then explicit too:
+// both come from byte 1) the build counters must also equal a
+// single-worker build's. The mutation stages drive the Joiner back
+// through the pipelined rebuild (a broken sweep order lands in the
+// per-side repair sort).
 func FuzzPartitionJoinPipelined(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 0, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1})
 	f.Add([]byte{0, 0, 0, 0})
@@ -105,43 +109,21 @@ func FuzzPartitionJoinPipelined(f *testing.F) {
 	f.Add([]byte{6, 2, 2, 1, 0, 0, 8, 8, 8, 8, 8, 8, 16, 16, 8, 8, 0, 8, 8, 8, 8, 0, 8, 8})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, s, cfg := fuzzRefinedInput(data)
-		cfg.Sorted = true
-		ref := cfg
-		ref.Barrier = true
-		var jp, jb Joiner
+		explicit := cfg.RefineThreshold != 0 && cfg.Grid != 0
+		one := cfg
+		one.Workers = 1
+		var jp, j1 Joiner
 		defer jp.Close()
-		defer jb.Close()
+		defer j1.Close()
 		check := func(stage string) {
 			t.Helper()
-			res := jp.Join(r, s, cfg)
-			got := toSet(t, res.Candidates)
-			want := bruteSet(r, s)
-			if len(got) != len(want) {
-				t.Fatalf("cfg %+v %s: %d pairs, want %d", cfg, stage, len(got), len(want))
-			}
-			for k := range want {
-				if !got[k] {
-					t.Fatalf("cfg %+v %s: missing pair %v", cfg, stage, k)
+			want := bruteSorted(r, s)
+			label := fmt.Sprintf("cfg %+v %s", cfg, stage)
+			got := checkBuild(t, label, &jp, r, s, cfg, want)
+			if explicit {
+				if ref := checkBuild(t, label+" 1-worker", &j1, r, s, one, want); got != ref {
+					t.Fatalf("%s: counters %+v, 1-worker %+v", label, got, ref)
 				}
-			}
-			// Exact pair-sequence equality against the barrier engine.
-			bres := jb.Join(r, s, ref)
-			if len(bres.Candidates) != len(res.Candidates) {
-				t.Fatalf("cfg %+v %s: pipelined %d pairs, barrier %d",
-					cfg, stage, len(res.Candidates), len(bres.Candidates))
-			}
-			for i := range bres.Candidates {
-				if bres.Candidates[i].R != res.Candidates[i].R ||
-					bres.Candidates[i].S != res.Candidates[i].S {
-					t.Fatalf("cfg %+v %s: pair %d differs: pipelined (%d,%d) vs barrier (%d,%d)",
-						cfg, stage, i, res.Candidates[i].R, res.Candidates[i].S,
-						bres.Candidates[i].R, bres.Candidates[i].S)
-				}
-			}
-			if res.Partitions != bres.Partitions || res.Duplicates != bres.Duplicates {
-				t.Fatalf("cfg %+v %s: pipelined parts/dups %d/%d vs barrier %d/%d",
-					cfg, stage, res.Partitions, res.Duplicates,
-					bres.Partitions, bres.Duplicates)
 			}
 		}
 		check("cold")
@@ -203,8 +185,8 @@ func fuzzRefinedInput(data []byte) (r, s []rtree.Item, cfg Config) {
 
 // FuzzPartitionJoinRefined pins the refined engine to the brute-force
 // oracle AND to the unrefined engine's exact sorted pair sequence, across
-// skewed/degenerate/duplicate-heavy inputs and the Joiner reuse tiers
-// after mutations. Sorted mode is forced so the two engines' outputs are
+// skewed/degenerate/duplicate-heavy inputs, through the Joiner's clean
+// re-join and its rebuild after mutations. Sorted mode is forced so the two engines' outputs are
 // comparable element by element.
 func FuzzPartitionJoinRefined(f *testing.F) {
 	f.Add([]byte{2, 1, 1, 0, 0, 0, 4, 4, 1, 1, 4, 4, 3, 3, 2, 2, 8, 8, 1, 1})

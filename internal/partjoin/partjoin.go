@@ -24,12 +24,17 @@
 //     the reference-point method: only the tile containing the top-left
 //     corner of the intersection of the two MBRs reports it.
 //
-// A Joiner is reusable, and aggressively so: after a warm-up run the whole
+// The cold build is one pipelined pool phase (pipeline.go): the scatter
+// fills the tile segments and their coordinate planes in one pass, and
+// workers sweep each tile as soon as every scatter has passed it.
+//
+// A Joiner is reusable and has two states. After a warm-up run the whole
 // join performs zero heap allocations, and a re-join over unchanged inputs
-// skips the sort and the bucketing entirely — a sequential compare pass
-// proves the cached tile segments still exact, so only the sweeps and the
-// result assembly run. Mutated inputs degrade gracefully: in-tile changes
-// keep the segments, cross-tile changes recount, reorderings re-sort.
+// and configuration reuses the whole cache: a sequential compare pass
+// proves the mirrors unchanged, so only the sweeps over the cached
+// schedule and the result assembly run. Any other join rebuilds through
+// the pipelined build, which still keeps the persisted sweep order: only
+// a side whose order broke re-sorts (a repair sort) and recounts.
 package partjoin
 
 import (
@@ -59,12 +64,6 @@ type Config struct {
 	// Sorted returns the candidates sorted by (R, S) id so results are
 	// deterministic regardless of scheduling.
 	Sorted bool
-	// Barrier forces the pre-pipeline cold-path build: scatter, fill and
-	// sweep run as separate full pool barriers instead of the fused
-	// pipelined phase. The results are bit-identical either way — the flag
-	// exists as the reference engine for the pipelined path's equivalence
-	// tests and as an escape hatch.
-	Barrier bool
 	// RefineThreshold controls adaptive tile refinement (see refine.go):
 	// 0 derives a threshold from the tile cost distribution (the default —
 	// refinement engages only when the grid is skewed), RefineDisabled
@@ -137,12 +136,12 @@ type Result struct {
 	PerWorker []int
 	// PhaseNS is the wall time spent in each pipeline phase, indexed by the
 	// timeline.Phase* constants. Always filled — the cost is a handful of
-	// clock reads — and a phase the run skipped reads zero, so the steady
-	// state's fast path is visible as empty sort/partition buckets.
+	// clock reads — and a phase the run skipped reads zero, so a clean
+	// re-join is visible as empty sort/partition buckets.
 	PhaseNS [timeline.NumPhases]int64
 	// PipelineNS is the wall time of the fused scatter+fill+sweep pipeline
-	// phase on a cold pipelined build, and zero on warm (fast-path) or
-	// Barrier joins. When set, the partition/fill/sweep/refine buckets of
+	// phase, which every join but a clean re-join runs; it is zero on clean
+	// re-joins. When set, the partition/fill/sweep/refine buckets of
 	// PhaseNS hold per-worker busy time summed across workers rather than
 	// phase wall time — the phases overlap inside the pipeline, so wall
 	// attribution per phase no longer exists.
@@ -179,11 +178,7 @@ const (
 	phaseMirrorCheck        // compare items against mirrors, copy changes
 	phaseSort               // sort both sides into global sweep order
 	phaseCount              // count tile occupancy per worker chunk
-	phaseScatter            // scatter rect indices into tile segments
-	phaseFill               // fill the tile-segment coordinate planes
-	phaseVerify             // re-verify sweep order and tile codes in place
-	phaseRefineFill         // fill the refinement-arena coordinate planes
-	phaseJoin               // sweep the work units, largest first
+	phaseJoin               // sweep the cached work units, largest first
 	phasePipeline           // fused scatter+fill+sweep+refine (see pipeline.go)
 )
 
@@ -204,22 +199,12 @@ type gridSide struct {
 	// position space: planes rectangle p is rects[idx[p]]. Replicating the
 	// coordinates here is what makes the per-tile sweep stride-free — both
 	// sides of every tile are contiguous, sweep-sorted runs of the four
-	// plane arrays. Filled by phaseFill after each scatter and refreshed on
-	// the fast path only when the mirror check patched something.
+	// plane arrays. Written by the pipelined scatter next to idx.
 	planes geom.Planes
 }
 
-// clearFlags resets the disorder flags ahead of a verification pass.
-func (g *gridSide) clearFlags(workers int) {
-	if cap(g.disorder) < workers {
-		g.disorder = make([]uint8, workers)
-	}
-	g.disorder = g.disorder[:workers]
-	clear(g.disorder)
-}
-
 // unsorted reports whether any worker's count pass found its chunk out of
-// sweep order (flags set by bucketChunk, cleared by reset).
+// sweep order (flags set by countChunk, cleared by reset).
 func (g *gridSide) unsorted(workers int) bool {
 	for _, d := range g.disorder[:workers] {
 		if d != 0 {
@@ -252,7 +237,7 @@ type Joiner struct {
 	pool     *parnative.Pool
 	workers  int
 	phase    int32
-	sortRuns bool // workers sort their runs before leaving phaseJoin
+	sortRuns bool // workers sort their runs before leaving the sweep phase
 
 	rItems, sItems []rtree.Item
 	rRects, sRects []geom.Rect
@@ -277,12 +262,14 @@ type Joiner struct {
 
 	rPart, sPart gridSide
 
-	// Fast-path validity: when true, the tile segments (idx/starts), the
-	// cached tile codes and the grid geometry above all describe the
-	// mirrors as of the last full bucketing, so a join whose inputs still
-	// match the mirrors can skip straight to the sweep phase.
+	// Cache validity: when true, the tile segments, the grid geometry and
+	// the work-unit schedule below all describe the mirrors as of the last
+	// build under grid cGX, cWk workers and refine threshold cThr, so a
+	// join whose inputs still match the mirrors skips straight to the
+	// sweep phase.
 	cacheOK                bool
 	cGX, cRLen, cSLen, cWk int
+	cThr                   int64
 	mdirty                 []uint8 // per-worker flag: mirror check saw a change
 
 	bounds []geom.Rect // per-worker chunk MBR unions (phaseMirror)
@@ -294,8 +281,7 @@ type Joiner struct {
 	// sorted largest-first. The refinement arenas (refRIdx/refSIdx and
 	// their position-space planes) are the subtile analogue of
 	// gridSide.idx/planes; refNodes holds the frozen split geometry the
-	// emit-time ownership walk re-evaluates. unitsOK + cThr gate the
-	// clean-fast-path reuse of the whole schedule.
+	// emit-time ownership walk re-evaluates.
 	units                  []workUnit
 	ucost                  []int64
 	refNodes               []refNode
@@ -305,8 +291,6 @@ type Joiner struct {
 	refSPlanes             geom.Planes
 	refBudget              int
 	refinedTiles, subtiles int
-	unitsOK                bool
-	cThr                   int64
 
 	order  tileOrder // reusable sorter over units/ucost
 	cursor atomic.Int64
@@ -386,29 +370,13 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	}
 	j.phaseNS = [timeline.NumPhases]int64{}
 
-	// Phase 1: bring the SoA mirrors (what the sweep kernel consumes) in
-	// sync with the items, as cheaply as the situation allows.
-	//
-	// The tile segments (idx/starts), the cached tile codes and the grid
-	// geometry depend only on the mirrors, the sweep orders and the
-	// cardinalities — so when a cache from a previous full bucketing is
-	// on hand, a sequential compare-and-copy pass settles how much of it
-	// survives:
-	//
-	//   - nothing changed: the segments are still exact; skip straight to
-	//     the sweep phase. The steady-state join is then one sequential
-	//     scan plus the sweeps — no sort, no bucketing.
-	//   - some items changed: the mirrors were patched in place; a verify
-	//     pass re-derives each rect's tile code and checks the sweep
-	//     order. If every code matches under the cached grid geometry the
-	//     segments remain exact (assignment depends only on the codes)
-	//     and the sweep proceeds; otherwise fall through to a full
-	//     bucketing. The cached geometry stays frozen while the codes
-	//     hold — rects drifting outside the old data MBR clamp into the
-	//     border tiles, which the reference-point dedup handles exactly.
-	//
-	// The full (cold) path mirrors unconditionally, unions the data MBR,
-	// derives the grid and runs the two-pass counting sort below.
+	// Two states. A clean re-join — the same cardinalities, grid, workers
+	// and refine threshold as the cached build, and items bit-identical to
+	// the mirrors — reuses the whole cache: the tile segments, the
+	// refinement arenas and the work-unit schedule are functions of the
+	// mirrored coordinates and the configuration, so only the sweeps run.
+	// A sequential compare-and-copy pass settles the item half of that.
+	// Every other join rebuilds through the pipelined build.
 	j.rRects = growRects(j.rRects, len(r))
 	j.sRects = growRects(j.sRects, len(s))
 	j.rIDs = growIDs(j.rIDs, len(r))
@@ -417,35 +385,19 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 	if g <= 0 {
 		g = autoGrid(len(r)+len(s), workers)
 	}
-	fast := j.cacheOK && j.cGX == g && j.cWk == workers &&
-		j.cRLen == len(r) && j.cSLen == len(s)
-	clean := false     // fast with bit-identical coordinates: schedule reusable
-	pipelined := false // cold build fused into the pipelined phase
-	if fast {
+	clean := j.cacheOK && j.cGX == g && j.cWk == workers &&
+		j.cRLen == len(r) && j.cSLen == len(s) && j.cThr == cfg.RefineThreshold
+	if clean {
 		j.mdirty = growFlags(j.mdirty, workers)
 		j.runPhase(phaseMirrorCheck)
-		changed := false
 		for _, d := range j.mdirty[:workers] {
 			if d != 0 {
-				changed = true
+				clean = false
 				break
 			}
 		}
-		if changed {
-			j.rPart.clearFlags(workers)
-			j.sPart.clearFlags(workers)
-			j.runPhase(phaseVerify)
-			fast = !j.rPart.unsorted(workers) && !j.sPart.unsorted(workers)
-			if fast {
-				// The segments survived the mutation but the segment
-				// planes still hold the old coordinates: re-fill them
-				// from the patched mirrors.
-				j.runPhase(phaseFill)
-			}
-		}
-		clean = fast && !changed
 	}
-	if !fast {
+	if !clean {
 		j.bounds = growRects(j.bounds, workers)
 		j.runPhase(phaseMirror)
 		mbr := geom.EmptyRect()
@@ -468,8 +420,8 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		j.invH = safeInv(mbr.MaxY-mbr.MinY, g)
 		tiles := j.gx * j.gy
 
-		// Two-pass counting sort of both sides into tile segments. The
-		// count pass caches each rect's tile range; the scatter pass
+		// Count pass of the counting sort: caches each rect's tile range
+		// and tile occupancy per worker chunk; the pipelined scatter then
 		// walks the sweep order, so tile segments come out sweep-sorted.
 		j.rTile = growCodes(j.rTile, len(r))
 		j.sTile = growCodes(j.sTile, len(s))
@@ -500,18 +452,11 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		}
 		j.rPart.prefixSum(workers, tiles)
 		j.sPart.prefixSum(workers, tiles)
-		if cfg.Barrier {
-			j.runPhase(phaseScatter)
-			j.runPhase(phaseFill)
-		} else {
-			pipelined = true
-		}
 		j.cacheOK = true
-		j.cGX, j.cWk = g, workers
+		j.cGX, j.cWk, j.cThr = g, workers, cfg.RefineThreshold
 		j.cRLen, j.cSLen = len(r), len(s)
 	}
-	// Phase 5: schedule and sweep. The per-worker result state resets first
-	// — the pipelined build sweeps inside its fused phase.
+	// Sweep. The per-worker result state resets first.
 	j.ws = growStates(j.ws, workers)
 	for w := range j.ws[:workers] {
 		ws := &j.ws[w]
@@ -520,54 +465,17 @@ func (j *Joiner) Join(r, s []rtree.Item, cfg Config) Result {
 		ws.phaseNS = [timeline.NumPhases]int64{}
 	}
 	j.pipelineNS = 0
-	if pipelined {
-		// Cold pipelined build: scatter, fill, refinement and the sweeps
-		// run overlapped in one pool phase; the canonical work-unit
-		// schedule is reconstructed afterwards so the reuse tiers see the
-		// exact state a barrier build would have left.
-		j.pipelineRun(cfg)
-	} else if !(clean && j.unitsOK && j.cThr == cfg.RefineThreshold) {
-		// Work-unit schedule: non-empty tiles largest-first, hot tiles
-		// refined into leaf subtiles (see refine.go) so one dense cluster
-		// cannot turn into a single straggling sweep. A clean fast-path
-		// join over bit-identical coordinates reuses the previous schedule
-		// outright — assignment and refinement are functions of the
-		// coordinates — while a patched join rebuilds it.
-		// The refine bucket gets this whole block's wall time; runPhase
-		// accrues the inner refine-fill there too, so overwrite the bucket
-		// with the block total instead of double counting.
-		refBefore := j.phaseNS[timeline.PhaseRefine]
-		tRef := time.Now()
-		if j.rec != nil {
-			j.rec.BeginSpan(0, wallSince(j.epoch), timeline.KindPhase,
-				sim.SpanArgs{A: timeline.PhaseRefine})
-		}
-		tiles := j.gx * j.gy
-		j.tiles = j.tiles[:0]
-		j.cost = j.cost[:0]
-		for t := 0; t < tiles; t++ {
-			rn := int64(j.rPart.starts[t+1] - j.rPart.starts[t])
-			sn := int64(j.sPart.starts[t+1] - j.sPart.starts[t])
-			if rn == 0 || sn == 0 {
-				continue
-			}
-			j.tiles = append(j.tiles, int32(t))
-			j.cost = append(j.cost, rn*sn+rn+sn)
-		}
-		j.buildUnits(j.resolveThreshold(cfg.RefineThreshold))
-		j.unitsOK = true
-		j.cThr = cfg.RefineThreshold
-		if j.rec != nil {
-			j.rec.EndSpan(0, wallSince(j.epoch), sim.SpanArgs{}, false)
-		}
-		j.phaseNS[timeline.PhaseRefine] = refBefore + time.Since(tRef).Nanoseconds()
-	}
-	if !pipelined {
-		// Join the work units over the pool, workers pulling from the
-		// shared cursor (the pipelined build already swept everything).
+	if clean {
+		// Join the cached work units over the pool, workers pulling from
+		// the shared cursor.
 		j.prog.SetTotal(int64(len(j.units)), sumCost(j.ucost))
 		j.cursor.Store(0)
 		j.runPhase(phaseJoin)
+	} else {
+		// Scatter, fill, refinement and the sweeps run overlapped in one
+		// pool phase, which leaves the largest-first schedule cached for
+		// the next clean re-join.
+		j.pipelineRun(cfg)
 	}
 
 	// Assemble. With Sorted the workers already left their runs sorted
@@ -688,16 +596,12 @@ func (j *Joiner) runPhase(phase int32) {
 // phase enumeration shared with the timeline and the flight recorder.
 func timelinePhase(phase int32) int {
 	switch phase {
-	case phaseMirror, phaseMirrorCheck, phaseVerify:
+	case phaseMirror, phaseMirrorCheck:
 		return timeline.PhasePrep
 	case phaseSort:
 		return timeline.PhaseSort
-	case phaseCount, phaseScatter:
+	case phaseCount:
 		return timeline.PhasePartition
-	case phaseFill:
-		return timeline.PhaseFill
-	case phaseRefineFill:
-		return timeline.PhaseRefine
 	default:
 		return timeline.PhaseSweep
 	}
@@ -717,17 +621,9 @@ func (j *Joiner) RunWorker(w int) {
 	case phaseSort:
 		j.sortSides(w)
 	case phaseCount:
-		j.bucketChunk(w, false)
-	case phaseScatter:
-		j.bucketChunk(w, true)
-	case phaseFill:
-		j.fillChunk(w)
+		j.countChunk(w)
 	case phaseMirrorCheck:
 		j.mirrorCheckChunk(w)
-	case phaseVerify:
-		j.verifyChunk(w)
-	case phaseRefineFill:
-		j.refineFillChunk(w)
 	case phaseJoin:
 		j.joinTiles(w)
 	case phasePipeline:
@@ -807,16 +703,12 @@ func (j *Joiner) sortSides(w int) {
 	}
 }
 
-// bucketChunk is one pass of the counting sort over this worker's chunks
-// of both sides, walking each side's global sweep order: scatter=false
-// counts tile occupancy (caching each rect's tile range as a packed
-// code), scatter=true writes the rect indices into the tile segments
-// reserved by the prefix sum. The per-(worker, tile) cursor cells make
-// the scatter race-free, and because chunks cover ascending sweep
-// positions and the prefix sum is worker-major, every tile segment comes
-// out sorted in sweep order — SweepPairsSoA's precondition — without any
-// per-tile sort.
-func (j *Joiner) bucketChunk(w int, scatter bool) {
+// countChunk is the count pass of the counting sort over this worker's
+// chunks of the sides selected by countMask, walking each side's global
+// sweep order: it counts tile occupancy into the worker's row of the count
+// matrix and caches each rect's tile range as a packed code for the
+// pipelined scatter (pipeScatter).
+func (j *Joiner) countChunk(w int) {
 	tiles := j.gx * j.gy
 	sides := [2]struct {
 		part  *gridSide
@@ -828,83 +720,61 @@ func (j *Joiner) bucketChunk(w int, scatter bool) {
 		{&j.sPart, j.sRects, j.sOrd, j.sTile},
 	}
 	for si, side := range sides {
-		if !scatter && j.countMask&(1<<si) == 0 {
+		if j.countMask&(1<<si) == 0 {
 			continue // side kept its previous (completed) count and codes
 		}
 		cur := side.part.counts[w*tiles : (w+1)*tiles]
 		lo, hi := j.chunkRange(len(side.ord), w)
-		if !scatter {
-			if lo == hi {
-				continue
-			}
-			// With countVerify the count pass doubles as the sweep-order
-			// verification: it already gathers every rect in sweep order,
-			// so carrying the previous rect makes the sortedness check free
-			// and spares a dedicated scan phase in the steady state.
-			// Position lo with lo == 0 self-compares, which trivially
-			// passes (the index tiebreak is strict). On the first violation
-			// the chunk's counts are abandoned — Join re-sorts and recounts
-			// the side with verification off, so the recount is total even
-			// when NaN keys leave residual comparison oddities after the
-			// sort.
-			verify := j.countVerify
-			pi := side.ord[lo]
-			if lo > 0 {
-				pi = side.ord[lo-1]
-			}
-			prev := &side.rects[pi]
-			lastX0 := 0
-			for pos := lo; pos < hi; pos++ {
-				ci := side.ord[pos]
-				r := &side.rects[ci]
-				if verify {
-					if r.MinX < prev.MinX ||
-						(r.MinX == prev.MinX &&
-							(r.MinY < prev.MinY || (r.MinY == prev.MinY && ci < pi))) {
-						side.part.disorder[w] = 1
-						break
-					}
-					prev, pi = r, ci
-				}
-				x0, y0 := j.tileOf(r.MinX, r.MinY)
-				x1, y1 := j.tileOf(r.MaxX, r.MaxY)
-				// The pipelined scatter's per-tile readiness relies on tile
-				// columns ascending along the chunk; a sorted order
-				// guarantees that except under NaN coordinates (which
-				// compare as ordered but clamp to column 0), so the count
-				// detects violations here and the pipeline falls back to
-				// whole-scatter readiness.
-				if x0 < lastX0 {
-					side.part.mono[w] = 0
-				}
-				lastX0 = x0
-				side.codes[pos] = packTiles(x0, y0, x1, y1)
-				if x0 == x1 && y0 == y1 { // the common single-tile rect
-					cur[y0*j.gx+x0]++
-					continue
-				}
-				for ty := y0; ty <= y1; ty++ {
-					base := ty * j.gx
-					for tx := x0; tx <= x1; tx++ {
-						cur[base+tx]++
-					}
-				}
-			}
+		if lo == hi {
 			continue
 		}
+		// With countVerify the count pass doubles as the sweep-order
+		// verification: it already gathers every rect in sweep order, so
+		// carrying the previous rect makes the sortedness check free and
+		// spares a dedicated scan phase in the steady state. Position lo
+		// with lo == 0 self-compares, which trivially passes (the index
+		// tiebreak is strict). On the first violation the chunk's counts
+		// are abandoned — Join re-sorts and recounts the side with
+		// verification off, so the recount is total even when NaN keys
+		// leave residual comparison oddities after the sort.
+		verify := j.countVerify
+		pi := side.ord[lo]
+		if lo > 0 {
+			pi = side.ord[lo-1]
+		}
+		prev := &side.rects[pi]
+		lastX0 := 0
 		for pos := lo; pos < hi; pos++ {
-			i := side.ord[pos]
-			x0, y0, x1, y1 := unpackTiles(side.codes[pos])
-			if x0 == x1 && y0 == y1 {
-				c := y0*j.gx + x0
-				side.part.idx[cur[c]] = i
-				cur[c]++
+			ci := side.ord[pos]
+			r := &side.rects[ci]
+			if verify {
+				if r.MinX < prev.MinX ||
+					(r.MinX == prev.MinX &&
+						(r.MinY < prev.MinY || (r.MinY == prev.MinY && ci < pi))) {
+					side.part.disorder[w] = 1
+					break
+				}
+				prev, pi = r, ci
+			}
+			x0, y0 := j.tileOf(r.MinX, r.MinY)
+			x1, y1 := j.tileOf(r.MaxX, r.MaxY)
+			// The pipelined scatter's per-tile readiness relies on tile
+			// columns ascending along the chunk; a sorted order guarantees
+			// that except under NaN coordinates (which compare as ordered
+			// but clamp to column 0), so the count detects violations here
+			// and the pipeline falls back to whole-scatter readiness.
+			if x0 < lastX0 {
+				side.part.mono[w] = 0
+			}
+			lastX0 = x0
+			side.codes[pos] = packTiles(x0, y0, x1, y1)
+			if x0 == x1 && y0 == y1 { // the common single-tile rect
+				cur[y0*j.gx+x0]++
 				continue
 			}
 			for ty := y0; ty <= y1; ty++ {
 				base := ty * j.gx
 				for tx := x0; tx <= x1; tx++ {
-					side.part.idx[cur[base+tx]] = i
 					cur[base+tx]++
 				}
 			}
@@ -912,15 +782,14 @@ func (j *Joiner) bucketChunk(w int, scatter bool) {
 	}
 }
 
-// mirrorCheckChunk is the steady-state fast path's first half: a
-// sequential compare of this worker's item chunks against the SoA
-// mirrors, patching any divergence in place and flagging that something
-// changed (a change triggers the verify pass, and — if the segments
-// survive — a segment-plane refill). On unchanged inputs this pass is
+// mirrorCheckChunk is the clean re-join's first half: a sequential compare
+// of this worker's item chunks against the SoA mirrors, patching any
+// divergence in place and flagging that something changed (a change sends
+// the join to the pipelined rebuild). On unchanged inputs this pass is
 // the only per-item work before the sweeps, so the compare runs on raw
 // coordinate bits: integer compares beat float compares here, a
 // faithfully mirrored NaN reads as unchanged (it is), and a ±0 sign flip
-// reads as changed (conservative — the verify pass then passes).
+// reads as changed (conservative — it costs one rebuild).
 func (j *Joiner) mirrorCheckChunk(w int) {
 	dirty := uint8(0)
 	lo, hi := j.chunkRange(len(j.rItems), w)
@@ -944,27 +813,6 @@ func (j *Joiner) mirrorCheckChunk(w int) {
 	j.mdirty[w] = dirty
 }
 
-// fillChunk copies this worker's chunk of each side's tile segments into
-// the segment coordinate planes: position p of the planes becomes
-// rects[idx[p]]. The writes are contiguous streams; the gathered reads
-// are the price of de-striding every subsequent sweep over the segment.
-func (j *Joiner) fillChunk(w int) {
-	sides := [2]struct {
-		part  *gridSide
-		rects []geom.Rect
-	}{
-		{&j.rPart, j.rRects},
-		{&j.sPart, j.sRects},
-	}
-	for _, side := range sides {
-		idx := side.part.idx
-		lo, hi := j.chunkRange(len(idx), w)
-		for pos := lo; pos < hi; pos++ {
-			side.part.planes.SetRect(pos, side.rects[idx[pos]])
-		}
-	}
-}
-
 // rectChanged compares a mirror rect against an item rect bit for bit.
 // The XOR-OR accumulation is branchless: in the steady state every rect
 // matches, so one predictable test per rect beats four short-circuit
@@ -977,56 +825,9 @@ func rectChanged(a, b *geom.Rect) bool {
 	return d != 0
 }
 
-// verifyChunk decides whether the cached tile segments survive an input
-// mutation: walking this worker's chunk of each sweep order, it checks the
-// order still holds and that every rect's tile range (under the frozen
-// grid geometry) still packs to its cached code. Assignment depends only
-// on the codes, so all-match means idx/starts are still exact and no
-// re-bucketing is needed; the first violation flags the side's disorder
-// slot and Join falls back to the full counting sort.
-func (j *Joiner) verifyChunk(w int) {
-	sides := [2]struct {
-		part  *gridSide
-		rects []geom.Rect
-		ord   []int32
-		codes []int64
-	}{
-		{&j.rPart, j.rRects, j.rOrd, j.rTile},
-		{&j.sPart, j.sRects, j.sOrd, j.sTile},
-	}
-	for _, side := range sides {
-		lo, hi := j.chunkRange(len(side.ord), w)
-		if lo == hi {
-			continue
-		}
-		pi := side.ord[lo]
-		if lo > 0 {
-			pi = side.ord[lo-1]
-		}
-		prev := &side.rects[pi]
-		for pos := lo; pos < hi; pos++ {
-			ci := side.ord[pos]
-			r := &side.rects[ci]
-			if r.MinX < prev.MinX ||
-				(r.MinX == prev.MinX &&
-					(r.MinY < prev.MinY || (r.MinY == prev.MinY && ci < pi))) {
-				side.part.disorder[w] = 1
-				break
-			}
-			prev, pi = r, ci
-			x0, y0 := j.tileOf(r.MinX, r.MinY)
-			x1, y1 := j.tileOf(r.MaxX, r.MaxY)
-			if packTiles(x0, y0, x1, y1) != side.codes[pos] {
-				side.part.disorder[w] = 1
-				break
-			}
-		}
-	}
-}
-
 // packTiles/unpackTiles encode a rect's inclusive tile range in one int64
-// (10 bits per coordinate fits the 1024 grid cap), so the scatter pass
-// reuses the count pass's tileOf work.
+// (10 bits per coordinate fits the 1024 grid cap), so the pipelined
+// scatter reuses the count pass's tileOf work.
 func packTiles(x0, y0, x1, y1 int) int64 {
 	return int64(x0) | int64(y0)<<10 | int64(x1)<<20 | int64(y1)<<30
 }
@@ -1035,8 +836,8 @@ func unpackTiles(c int64) (x0, y0, x1, y1 int) {
 	return int(c & 1023), int(c >> 10 & 1023), int(c >> 20 & 1023), int(c >> 30 & 1023)
 }
 
-// joinTiles pulls work units off the shared cursor (largest first) and
-// joins each; with Sorted pending the worker sorts its run before
+// joinTiles pulls the cached work units off the shared cursor (largest
+// first) and joins each; with Sorted pending the worker sorts its run before
 // returning so the merge on the owner goroutine is all that remains
 // single-threaded.
 func (j *Joiner) joinTiles(w int) {
@@ -1100,7 +901,7 @@ func (j *Joiner) joinSegs(ws *workerState, rSeg, sSeg []int32, rView, sView *geo
 		return j.joinTileBatch(ws, rSeg, sSeg, rView, sView, tx, ty, node)
 	}
 
-	// Segments are already in sweep order (see bucketChunk; refinement
+	// Segments are already in sweep order (see pipeScatter; refinement
 	// scatters preserve the order level by level).
 	var comps int
 	ws.hits, comps = geom.SweepPairsPlanesDense(rView, sView, ws.hits[:0])

@@ -204,13 +204,12 @@ func TestJoinerReuseZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestJoinerReuseMutatedInputs drives one Joiner through every cache
-// transition of the steady-state fast path: unchanged re-joins (cursor
-// snapshot reuse), a within-tile move (codes still match — the fused
-// verify keeps the fast path but the sweep must see the new extents), a
-// cross-tile move (code mismatch mid-pass → full recount), an
-// order-breaking move (sort + recount), and a cardinality change. Each
-// join is checked against the brute-force oracle.
+// TestJoinerReuseMutatedInputs drives one Joiner through both of its
+// states: unchanged re-joins reuse the whole cache (no pipeline), and
+// every other join — a within-tile move, a cross-tile move, an
+// order-breaking move (repair sort + recount), a refine threshold change
+// and a cardinality change — rebuilds through the pipeline. Each join is
+// checked against the brute-force oracle.
 func TestJoinerReuseMutatedInputs(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		rng := rand.New(rand.NewSource(53))
@@ -220,41 +219,53 @@ func TestJoinerReuseMutatedInputs(t *testing.T) {
 		var j Joiner
 		defer j.Close()
 
-		check := func(stage string) {
+		// check joins and compares against brute force; rebuilt says
+		// whether the join must have run the pipeline.
+		check := func(stage string, rebuilt bool) {
 			t.Helper()
-			got := toSet(t, j.Join(r, s, cfg).Candidates)
+			res := j.Join(r, s, cfg)
+			got := toSet(t, res.Candidates)
 			want := bruteSet(r, s)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("workers=%d %s: %d pairs, want %d", workers, stage, len(got), len(want))
 			}
+			if (res.PipelineNS > 0) != rebuilt {
+				t.Fatalf("workers=%d %s: PipelineNS = %d, rebuild expected %v",
+					workers, stage, res.PipelineNS, rebuilt)
+			}
 		}
-		check("cold")
-		check("steady")
-		check("steady2")
+		check("cold", true)
+		check("steady", false)
+		check("steady2", false)
 
 		// Within-tile mutation: nudge a rect's extent by less than a tile
-		// (tiles are 20 units wide) without reordering MinX. The cached
-		// codes still match, so the fast path survives — and must join
-		// with the mutated extents, not the old ones.
+		// (tiles are 20 units wide) without reordering MinX. Any change
+		// rebuilds, and the sweep must see the new extents.
 		r[100].Rect.MaxX += 0.5
 		r[100].Rect.MaxY -= 0.25
-		check("within-tile mutation")
+		check("within-tile mutation", true)
+		check("steady after within-tile mutation", false)
 
 		// Cross-tile mutation: stretch a rect across the whole world so
-		// its tile range changes and the verify pass bails out.
+		// its tile range changes.
 		s[7].Rect.MaxX = 99
 		s[7].Rect.MaxY = 99
-		check("cross-tile mutation")
+		check("cross-tile mutation", true)
 
 		// Order-breaking mutation: move a rect's MinX far left so the
 		// persisted sweep order is stale and the sort fallback runs.
 		r[300].Rect.MinX = 0.001
-		check("order-breaking mutation")
+		check("order-breaking mutation", true)
 
-		// Cardinality change invalidates the cursor snapshots outright.
+		// A refine threshold change over unchanged inputs rebuilds too.
+		cfg.RefineThreshold = RefineDisabled
+		check("threshold change", true)
+		check("steady after threshold change", false)
+
+		// Cardinality change invalidates the cache outright.
 		s = append(s, rtree.Item{ID: 99999, Rect: geom.NewRect(1, 1, 90, 90)})
-		check("appended item")
-		check("steady after append")
+		check("appended item", true)
+		check("steady after append", false)
 	}
 }
 
@@ -356,7 +367,8 @@ func TestPartitionJoinTimeline(t *testing.T) {
 
 // TestPartitionJoinPhaseTimings pins the always-on PhaseNS contract: the
 // sweep and merge buckets are filled on every run, a cold join also pays
-// sort/partition/fill, and a clean steady-state re-join skips them.
+// prep and partition inside the pipeline (PipelineNS set, fill fused into
+// the scatter), and a clean re-join skips sort and partition.
 func TestPartitionJoinPhaseTimings(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	r := items(randomRects(rng, 400, 100, 8), 0)
@@ -380,14 +392,6 @@ func TestPartitionJoinPhaseTimings(t *testing.T) {
 	}
 	if cold.PipelineNS <= 0 {
 		t.Errorf("cold join: PipelineNS = %d, want > 0", cold.PipelineNS)
-	}
-	// The Barrier reference engine keeps the pre-pipeline phase structure.
-	var jb Joiner
-	defer jb.Close()
-	barrier := jb.Join(r, s, Config{Workers: 2, Grid: 6, Barrier: true})
-	if barrier.PhaseNS[timeline.PhaseFill] <= 0 || barrier.PipelineNS != 0 {
-		t.Errorf("barrier join: fill=%dns pipeline=%dns, want fill > 0 and pipeline 0",
-			barrier.PhaseNS[timeline.PhaseFill], barrier.PipelineNS)
 	}
 	warm := j.Join(r, s, cfg)
 	for _, p := range []int{timeline.PhaseSort, timeline.PhasePartition, timeline.PhaseFill} {

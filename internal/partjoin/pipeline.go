@@ -11,19 +11,19 @@ import (
 	"spjoin/internal/timeline"
 )
 
-// Pipelined cold-path build: instead of running scatter, fill and the
-// per-tile sweeps as separate full pool barriers, one fused phase does all
-// three overlapped. Each worker first scatters its sweep-order chunks of
-// both sides directly into the tile segments AND their coordinate planes
-// (the fill is fused into the scatter — the rectangle is already in a
-// register), publishing a per-worker column frontier as it advances; the
-// moment every frontier has passed a tile's column, that tile's segments
-// are complete and any worker may claim it from the cost-descending ready
-// queue and sweep it while trailing chunks are still scattering. Hot tiles
-// routed to refinement are parked in the queue until every scatter has
-// landed, then one worker splits them (the same sequential splitSeg walk
-// the barrier build uses) and publishes the resulting subtile units for
-// the others to drain.
+// Pipelined build: every join that is not a clean re-join runs scatter,
+// fill, refinement and the per-tile sweeps overlapped in one fused pool
+// phase. Each worker first scatters its sweep-order chunks of both sides
+// directly into the tile segments AND their coordinate planes (the fill is
+// fused into the scatter — the rectangle is already in a register),
+// publishing a per-worker column frontier as it advances; the moment every
+// frontier has passed a tile's column, that tile's segments are complete
+// and any worker may claim it from the cost-descending ready queue and
+// sweep it while trailing chunks are still scattering. Hot tiles routed to
+// refinement are parked in the queue until every scatter has landed, then
+// one worker splits them (a sequential splitSeg walk in ascending tile
+// order) and publishes the resulting subtile units for the others to
+// drain.
 //
 // Readiness protocol and memory ordering: the scatter walks a side's
 // global sweep order, which ascends by MinX, so a worker that is about to
@@ -42,14 +42,14 @@ import (
 // owner's splitSeg writes all precede the release store of refineDone,
 // and consumers touch the subtile units only after acquiring it.
 //
-// Exactness: the fused scatter writes the identical idx/planes content the
-// barrier scatter+fill pair produces (same chunks, same cursors from the
-// same prefix sums), refinement runs the same splitSeg sequence in the
-// same ascending-tile order with the same budget, and every work unit —
-// root tile or subtile leaf — is swept by exactly one claimer. After the
-// phase, pipelineRun reconstructs the canonical largest-first unit
-// schedule, so a following clean fast-path join reuses the exact state a
-// barrier build would have cached.
+// Determinism: the per-(worker, tile) cursors come from a worker-major
+// prefix sum, so each tile segment holds exactly the rects covering the
+// tile, in sweep order, whatever the worker count; refinement consumes its
+// budget in ascending tile order, so under an explicit threshold the
+// split is worker-independent too; and every work unit — root tile or
+// subtile leaf — is swept by exactly one claimer. After the phase,
+// pipelineRun reconstructs the canonical largest-first unit schedule,
+// which a following clean re-join reuses verbatim.
 
 // pipeState is the shared coordination state of one fused pipeline phase.
 type pipeState struct {
@@ -95,11 +95,11 @@ func (o *pipeOrder) Swap(i, k int) {
 	o.j.pOrder[i], o.j.pOrder[k] = o.j.pOrder[k], o.j.pOrder[i]
 }
 
-// pipelineRun is the cold build's fused tail: schedule preparation, the
+// pipelineRun is the build's fused tail: schedule preparation, the
 // pipelined pool phase, and the canonical-schedule reconstruction. On
 // entry both sides are counted and prefix-summed; on exit the Joiner's
 // cached state (segments, planes, refinement arenas, unit schedule) is
-// bit-identical to what the barrier phases would have left.
+// what a clean re-join sweeps.
 func (j *Joiner) pipelineRun(cfg Config) {
 	workers := j.workers
 
@@ -107,7 +107,7 @@ func (j *Joiner) pipelineRun(cfg Config) {
 	// the cost-descending claim order, and the refinement hand-off (hot
 	// tiles parked in the claim table until the scatter rendezvous). Both
 	// prep and the closing reconstruction are schedule work — they accrue
-	// to the refine bucket like the barrier build's buildUnits block.
+	// to the refine bucket.
 	refBefore := j.phaseNS[timeline.PhaseRefine]
 	tRef := time.Now()
 	if j.rec != nil {
@@ -138,9 +138,8 @@ func (j *Joiner) pipelineRun(cfg Config) {
 	sort.Sort(&j.pipeOrd)
 	j.ready.Reset(len(j.tiles))
 
-	// Refinement state resets exactly as buildUnits' head does; the units
-	// list will collect subtile leaves during the in-phase refinement and
-	// the root units afterwards.
+	// Refinement state resets; the units list will collect subtile leaves
+	// during the in-phase refinement and the root units afterwards.
 	j.units = j.units[:0]
 	j.ucost = j.ucost[:0]
 	j.refNodes = j.refNodes[:0]
@@ -187,8 +186,8 @@ func (j *Joiner) pipelineRun(cfg Config) {
 	// Reconstruct the canonical schedule: the subtile units are already in
 	// splitSeg order; every claim-swept root tile joins them, and the
 	// largest-first sort (a total order — cost, then tile, then node)
-	// leaves the exact unit sequence buildUnits produces, so the clean
-	// fast path reuses it verbatim.
+	// leaves one unit sequence however the claims fell, which the clean
+	// re-join reuses verbatim.
 	tRef = time.Now()
 	if j.rec != nil {
 		j.rec.BeginSpan(0, wallSince(j.epoch), timeline.KindPhase,
@@ -202,8 +201,6 @@ func (j *Joiner) pipelineRun(cfg Config) {
 	}
 	j.order.j = j
 	sort.Sort(&j.order)
-	j.unitsOK = true
-	j.cThr = cfg.RefineThreshold
 	if j.rec != nil {
 		j.rec.EndSpan(0, wallSince(j.epoch), sim.SpanArgs{}, false)
 	}
@@ -259,8 +256,11 @@ func (j *Joiner) pipeWorker(w int) {
 
 // pipeScatter is the fused scatter+fill over this worker's chunks: one
 // walk of each side's sweep order writes the tile segment index AND the
-// segment's coordinate plane (the barrier build's separate fill pass
-// re-gathered every rectangle; here it is already loaded). The frontier
+// segment's coordinate plane (the rectangle is already loaded). The
+// per-(worker, tile) cursor cells make the writes race-free, and because
+// chunks cover ascending sweep positions and the prefix sum is
+// worker-major, every tile segment comes out sorted in sweep order — the
+// dense sweep's precondition — without any per-tile sort. The frontier
 // publishes only while the S side scatters — this worker's R chunk is
 // complete by then, so columns left of the S cursor are complete for both
 // sides — and only on column advances, so the atomic store runs at most
@@ -357,13 +357,12 @@ func (j *Joiner) pipeSweepRoots(ws *workerState, w int) bool {
 	return swept
 }
 
-// pipeRefine is the elected worker's refinement pass, the in-pipeline
-// analogue of buildUnits' splitting: deferred tiles are visited in
-// ascending tile order (the budget consumption order the barrier build
-// uses), committed splits append their leaf units, failed ones release
-// the tile back to the claimers. The arena planes are filled inline — the
-// other workers are busy sweeping, and a nested pool phase cannot run
-// inside a running phase.
+// pipeRefine is the elected worker's refinement pass: deferred tiles are
+// visited in ascending tile order (a fixed budget consumption order),
+// committed splits append their leaf units, failed ones release the tile
+// back to the claimers. The arena planes are filled inline — the other
+// workers are busy sweeping, and a nested pool phase cannot run inside a
+// running phase.
 func (j *Joiner) pipeRefine(ws *workerState, w int) {
 	tR := time.Now()
 	if j.rec != nil {
@@ -428,7 +427,7 @@ func (j *Joiner) pipeSweepSubs(ws *workerState, w int) bool {
 }
 
 // pipeJoinUnit sweeps one claimed work unit, with the same per-unit
-// timeline span the barrier join phase emits; cost is the unit's
+// timeline span the clean re-join emits (joinTiles); cost is the unit's
 // scheduled estimate, reported to the live-progress slot.
 func (j *Joiner) pipeJoinUnit(ws *workerState, w, t int, node int32, cost int64) {
 	tU := time.Now()

@@ -1,15 +1,11 @@
 package partjoin
 
-import (
-	"sort"
-
-	"spjoin/internal/geom"
-)
+import "spjoin/internal/geom"
 
 // Adaptive tile refinement: the uniform grid degrades on clustered inputs —
 // one hot tile can hold a large fraction of both sides, so its sweep
 // dominates the join no matter how many workers idle beside it (the Join
-// Product Skew problem). After the counting-sort scatter, tiles whose
+// Product Skew problem). After the pipelined scatter, tiles whose
 // estimated sweep cost exceeds a threshold are therefore split recursively
 // into refineK×refineK subtiles, and the per-tile join schedule becomes a
 // schedule of work units: unrefined tiles plus refined leaf subtiles,
@@ -163,41 +159,6 @@ func (j *Joiner) resolveThreshold(raw int64) (trigger, recurse int64) {
 		trigger = refineMinCost
 	}
 	return trigger, refineMinCost
-}
-
-// buildUnits turns the non-empty tiles (j.tiles/j.cost) into the join
-// phase's work-unit schedule, refining tiles costlier than thr. It runs
-// sequentially on the owner goroutine — splitting is a small counting
-// sort per hot tile — and finishes by filling the refinement planes in
-// parallel and sorting the units largest-first.
-func (j *Joiner) buildUnits(trigger, recurse int64) {
-	j.units = j.units[:0]
-	j.ucost = j.ucost[:0]
-	j.refNodes = j.refNodes[:0]
-	j.refRIdx = j.refRIdx[:0]
-	j.refSIdx = j.refSIdx[:0]
-	j.refinedTiles, j.subtiles = 0, 0
-	j.refBudget = refineBudgetFactor * (len(j.rPart.idx) + len(j.sPart.idx))
-	for i, t := range j.tiles {
-		c := j.cost[i]
-		if trigger >= 0 && c > trigger {
-			before := len(j.units)
-			if j.refineRoot(t, recurse) {
-				j.refinedTiles++
-				j.subtiles += len(j.units) - before
-				continue
-			}
-		}
-		j.units = append(j.units, workUnit{tile: t, node: -1})
-		j.ucost = append(j.ucost, c)
-	}
-	j.refRPlanes.Reset(len(j.refRIdx))
-	j.refSPlanes.Reset(len(j.refSIdx))
-	if len(j.refRIdx)+len(j.refSIdx) > 0 {
-		j.runPhase(phaseRefineFill)
-	}
-	j.order.j = j
-	sort.Sort(&j.order)
 }
 
 // refineRoot splits root tile t. It reports whether a split was committed
@@ -364,20 +325,6 @@ func extendArena(s *[]int32, n int) int32 {
 		*s = grown
 	}
 	return int32(base)
-}
-
-// refineFillChunk is phaseRefineFill: copy this worker's chunk of the
-// refinement arenas into the position-space planes, the exact analogue of
-// fillChunk for the subtile segments.
-func (j *Joiner) refineFillChunk(w int) {
-	lo, hi := j.chunkRange(len(j.refRIdx), w)
-	for pos := lo; pos < hi; pos++ {
-		j.refRPlanes.SetRect(pos, j.rRects[j.refRIdx[pos]])
-	}
-	lo, hi = j.chunkRange(len(j.refSIdx), w)
-	for pos := lo; pos < hi; pos++ {
-		j.refSPlanes.SetRect(pos, j.sRects[j.refSIdx[pos]])
-	}
 }
 
 // joinSub joins one refined leaf subtile, the node analogue of joinTile.

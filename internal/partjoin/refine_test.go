@@ -172,8 +172,9 @@ func TestRefinedDegenerate(t *testing.T) {
 	})
 }
 
-// TestRefinedReuseTiers drives a refined Joiner through the cache tiers
-// (clean rejoin, in-tile patch, cross-tile move, threshold change) and
+// TestRefinedReuseTiers drives a refined Joiner through its two states —
+// the clean re-join reuses the schedule, an in-tile nudge, a cross-tile
+// move and a threshold change each rebuild through the pipeline — and
 // pins each against brute force and the schedule-reuse expectations.
 func TestRefinedReuseTiers(t *testing.T) {
 	r, s := clusteredItems(3000, 5, 21)
@@ -206,9 +207,14 @@ func TestRefinedReuseTiers(t *testing.T) {
 	if clean.Subtiles != cold.Subtiles || clean.RefinedTiles != cold.RefinedTiles {
 		t.Fatalf("clean rejoin changed the schedule: %+v vs %+v", clean, cold)
 	}
-	// In-tile nudge: patched fast path must re-derive the refinement.
+	if clean.PipelineNS != 0 {
+		t.Fatalf("clean rejoin ran the pipeline (%dns)", clean.PipelineNS)
+	}
+	// In-tile nudge: the change rebuilds, re-deriving the refinement.
 	rMut[0].Rect.MaxX += 1e-9
-	check("in-tile patch")
+	if nudged := check("in-tile nudge"); nudged.PipelineNS <= 0 {
+		t.Fatal("in-tile nudge did not rebuild through the pipeline")
+	}
 	// Cross-tile move: full recount plus re-refinement.
 	rMut[1].Rect = geom.NewRect(0.5, 0.5, 1.0, 1.0)
 	check("cross-tile move")
@@ -218,10 +224,16 @@ func TestRefinedReuseTiers(t *testing.T) {
 	if off.Subtiles != 0 {
 		t.Fatalf("disabled refinement still produced %d subtiles", off.Subtiles)
 	}
+	if off.PipelineNS <= 0 {
+		t.Fatal("threshold change did not rebuild through the pipeline")
+	}
 	cfg.RefineThreshold = 0
 	on := check("refinement re-enabled")
 	if on.Subtiles == 0 {
 		t.Fatal("re-enabled refinement produced no subtiles")
+	}
+	if again := check("clean rejoin after re-enable"); again.PipelineNS != 0 {
+		t.Fatalf("clean rejoin ran the pipeline (%dns)", again.PipelineNS)
 	}
 }
 
